@@ -201,6 +201,33 @@ void BM_KnowledgeMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_KnowledgeMerge);
 
+void BM_KnowledgeExchange(benchmark::State& state) {
+  // One co-located meeting of the mapping task's exchange phase: pool the
+  // members' maps (copy the first, merge the rest) and have every member
+  // adopt the pool. Members hold distinct partial maps of net300 (every
+  // 4th node, offset by member), restored from a pristine copy at the top
+  // of each iteration so every merge adds real bits; the timing includes
+  // that restore, one MapKnowledge copy per member.
+  const auto members = static_cast<std::size_t>(state.range(0));
+  const Graph& g = net300().graph;
+  std::vector<MapKnowledge> pristine(members, MapKnowledge(300));
+  for (std::size_t m = 0; m < members; ++m)
+    for (auto u = static_cast<NodeId>(m % 4); u < 300; u += 4)
+      pristine[m].observe_node(u, g.out_neighbors(u), m);
+  std::vector<MapKnowledge> group = pristine;
+  KnowledgePool pool(300);
+  for (auto _ : state) {
+    for (std::size_t m = 0; m < members; ++m) group[m] = pristine[m];
+    pool.seed(group.front());
+    for (std::size_t m = 1; m < members; ++m) pool.absorb(group[m]);
+    for (MapKnowledge& k : group) k.adopt_pool(pool.edges(), pool.visits());
+    benchmark::DoNotOptimize(group.back().known_edge_count());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(members));
+}
+BENCHMARK(BM_KnowledgeExchange)->Arg(2)->Arg(8);
+
 void BM_MappingStep(benchmark::State& state) {
   // Cost of one full team-step, measured as a short task run.
   const auto pop = static_cast<int>(state.range(0));

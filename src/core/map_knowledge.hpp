@@ -1,9 +1,9 @@
-// An agent's model of the network topology, split into first-hand knowledge
-// (edges the agent observed itself, nodes it visited) and second-hand
-// knowledge (learned from peers during direct communication) — the paper
-// keeps the two stores separate because movement policies differ in which
-// they may consult: conscientious agents use first-hand only,
-// super-conscientious agents use both.
+// An agent's model of the network topology: first-hand knowledge (edges the
+// agent observed itself, nodes it visited) and its full map (first-hand plus
+// whatever it learned from peers during direct communication). The paper
+// separates the hands because movement policies differ in which they may
+// consult: conscientious agents use first-hand only, super-conscientious
+// agents use both. Hearsay on its own is tracked only for expiry.
 #pragma once
 
 #include <cstdint>
@@ -29,14 +29,17 @@ class MapKnowledge {
                     std::size_t now);
 
   /// Direct communication: absorbs everything `peer` knows (both hands)
-  /// into this agent's *second-hand* store.
+  /// as second-hand knowledge.
   void learn_from(const MapKnowledge& peer);
 
-  /// Bulk variant of learn_from used for co-located groups: absorbs a
-  /// pooled edge set and pooled visit times (see MappingTask). `edges` must
-  /// be node_count² bits; `visits` node_count entries.
-  void learn_union(const DenseBitset& edges,
-                   std::span<const std::int64_t> visits);
+  /// Direct communication in a co-located group: adopts the group's pooled
+  /// map. `pool` is the union of every member's combined edge set and
+  /// `visits` the element-wise max of their visit times (see MappingTask),
+  /// so both are supersets of this agent's own and the agent's full map
+  /// becomes exactly the pool — one copy, no merge. Only the O(1) part of
+  /// that precondition is checked (sizes, pool.count() >= own count).
+  void adopt_pool(const DenseBitset& pool,
+                  std::span<const std::int64_t> visits);
 
   /// Resilience policy (fault subsystem): forgets second-hand knowledge
   /// older than `ttl` steps. Implemented as epoch rotation — hearsay
@@ -84,15 +87,18 @@ class MapKnowledge {
   /// 8 bytes per known edge plus 12 per node with a known visit time. The
   /// paper cares about agent overhead ("due to cost of trans[portation an]
   /// agent should be small in size"); tasks meter migration traffic with
-  /// this.
-  std::size_t serialized_size_bytes() const;
+  /// this on every hop, so both counts are kept incrementally (O(1)).
+  std::size_t serialized_size_bytes() const {
+    return 8 * combined_.count() + 12 * visited_nodes_;
+  }
 
-  /// Checkpoint support: both hands, the combined set, visit times and the
-  /// expiry-epoch bookkeeping.
+  /// Checkpoint support: first-hand and combined edge sets, visit times and
+  /// the expiry-epoch bookkeeping. load_state validates every size against
+  /// node_count() — a CRC-valid stream from another network must fail with
+  /// ConfigError, never index out of bounds.
   void save_state(snapshot::ByteWriter& w) const {
     w.size(node_count_);
     first_hand_.save_state(w);
-    second_hand_.save_state(w);
     combined_.save_state(w);
     w.pod_vec(first_hand_visit_);
     w.pod_vec(any_visit_);
@@ -102,21 +108,7 @@ class MapKnowledge {
     w.pod_vec(learned_visit_prev_);
     w.pod_vec(learned_visit_recent_);
   }
-  void load_state(snapshot::ByteReader& r) {
-    const std::size_t n = r.size();
-    AGENTNET_REQUIRE(n == node_count_,
-                     "snapshot: map knowledge node count mismatch");
-    first_hand_.load_state(r);
-    second_hand_.load_state(r);
-    combined_.load_state(r);
-    r.pod_vec(first_hand_visit_);
-    r.pod_vec(any_visit_);
-    expiry_enabled_ = r.boolean();
-    last_rotation_ = r.size();
-    second_recent_.load_state(r);
-    r.pod_vec(learned_visit_prev_);
-    r.pod_vec(learned_visit_recent_);
-  }
+  void load_state(snapshot::ByteReader& r);
 
  private:
   std::size_t bit_index(NodeId u, NodeId v) const {
@@ -126,10 +118,10 @@ class MapKnowledge {
 
   std::size_t node_count_;
   DenseBitset first_hand_;
-  DenseBitset second_hand_;
-  DenseBitset combined_;  // first ∪ second, maintained incrementally
+  DenseBitset combined_;  // first hand ∪ live hearsay
   std::vector<std::int64_t> first_hand_visit_;
   std::vector<std::int64_t> any_visit_;
+  std::size_t visited_nodes_ = 0;  // entries of any_visit_ != kNeverVisited
   // Expiry epoch bookkeeping, allocated on the first expire_second_hand
   // call: hearsay learned in the current epoch, and learned-visit times
   // split by epoch so any_visit_ can be rebuilt at rotation.
@@ -138,6 +130,28 @@ class MapKnowledge {
   DenseBitset second_recent_;
   std::vector<std::int64_t> learned_visit_prev_;
   std::vector<std::int64_t> learned_visit_recent_;
+};
+
+/// A co-located group's pooled knowledge, built for MapKnowledge::adopt_pool:
+/// the union of the members' combined edge sets and the element-wise max of
+/// their visit times. Seeding copies the first member's map, so a meeting of
+/// m agents costs one copy plus m−1 counted merges.
+class KnowledgePool {
+ public:
+  explicit KnowledgePool(std::size_t node_count)
+      : edges_(node_count * node_count), visits_(node_count) {}
+
+  /// Resets the pool to a copy of `first`'s map.
+  void seed(const MapKnowledge& first);
+  /// Folds another member's map into the pool.
+  void absorb(const MapKnowledge& member);
+
+  const DenseBitset& edges() const { return edges_; }
+  std::span<const std::int64_t> visits() const { return visits_; }
+
+ private:
+  DenseBitset edges_;
+  std::vector<std::int64_t> visits_;
 };
 
 }  // namespace agentnet

@@ -45,10 +45,13 @@ class MappingAgent {
   /// Phase 1: learn all out-edges of the current node (first-hand).
   void sense(const Graph& graph, std::size_t now);
 
-  /// Phase 2: direct communication — absorb a co-located group's pooled
-  /// knowledge into the second-hand store.
-  void learn_union(const DenseBitset& edges,
-                   std::span<const std::int64_t> visits);
+  /// Phase 2: direct communication — adopt a co-located group's pooled
+  /// knowledge (a superset of this agent's map; see
+  /// MapKnowledge::adopt_pool).
+  void adopt_pool(const DenseBitset& pool,
+                  std::span<const std::int64_t> visits) {
+    knowledge_.adopt_pool(pool, visits);
+  }
 
   /// Resilience policy: forget hearsay older than `ttl` steps (epoch
   /// rotation; see MapKnowledge::expire_second_hand).

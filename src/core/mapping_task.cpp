@@ -46,13 +46,6 @@ struct MeetingScratch {
   std::vector<std::size_t> nearby;   ///< Grid query output, ascending.
 };
 
-/// Per-worker pooling scratch for group-parallel exchanges (one per chunk
-/// when the agent engine is active; the serial path reuses one instance).
-struct ExchangeScratch {
-  DenseBitset edges;
-  std::vector<std::int64_t> visits;
-};
-
 /// One planned meeting: the serial plan pass fixes membership, venue and
 /// the corruption draw (group-order RNG); pooling then runs group-parallel
 /// and the commit pass replays counters/events in group order.
@@ -166,8 +159,7 @@ MappingTaskResult run_mapping_task(World& world,
                   [](const MappingAgentConfig& member) {
                     return member.stigmergy != StigmergyMode::kOff;
                   });
-  ExchangeScratch pooled{DenseBitset(n * n),
-                         std::vector<std::int64_t>(n)};
+  KnowledgePool pooled(n);
   std::vector<MeetingPlan> meetings;
   std::vector<double> fractions;
   // The monitoring entity's collected map (completeness is tracked against
@@ -395,31 +387,22 @@ MappingTaskResult run_mapping_task(World& world,
       }
       // Pooling (group-parallel): meetings are disjoint, so each can pool
       // and distribute into its own members concurrently — per-worker
-      // scratch, no events, no RNG.
+      // scratch, no events, no RNG. The pool starts as a copy of the first
+      // talker's map and absorbs the rest, so it is a superset of every
+      // member's map and each member simply adopts it.
       const auto pool_meeting = [&](const MeetingPlan& meeting,
-                                    ExchangeScratch& scratch) {
-        scratch.edges.clear();
-        std::fill(scratch.visits.begin(), scratch.visits.end(),
-                  kNeverVisited);
-        for (std::size_t idx : meeting.talkers) {
-          const MapKnowledge& k = agents[idx].knowledge();
-          scratch.edges.merge(k.combined_edges());
-          const auto visits = k.any_visits();
-          for (std::size_t i = 0; i < n; ++i)
-            scratch.visits[i] = std::max(scratch.visits[i], visits[i]);
-        }
+                                    KnowledgePool& pool) {
+        pool.seed(agents[meeting.talkers.front()].knowledge());
+        for (std::size_t m = 1; m < meeting.talkers.size(); ++m)
+          pool.absorb(agents[meeting.talkers[m]].knowledge());
         for (std::size_t idx : meeting.talkers)
-          agents[idx].learn_union(scratch.edges, scratch.visits);
+          agents[idx].adopt_pool(pool.edges(), pool.visits());
       };
       if (par.active() && meetings.size() > 1) {
         par.for_each_scratch(
-            meetings.size(),
-            [n] {
-              return ExchangeScratch{DenseBitset(n * n),
-                                     std::vector<std::int64_t>(n)};
-            },
-            [&](std::size_t m, ExchangeScratch& scratch) {
-              if (!meetings[m].corrupted) pool_meeting(meetings[m], scratch);
+            meetings.size(), [n] { return KnowledgePool(n); },
+            [&](std::size_t m, KnowledgePool& pool) {
+              if (!meetings[m].corrupted) pool_meeting(meetings[m], pool);
             });
       } else {
         for (const MeetingPlan& meeting : meetings)

@@ -40,7 +40,9 @@ namespace agentnet::snapshot {
 
 inline constexpr char kSnapshotMagic[8] = {'A', 'G', 'N', 'T',
                                            'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Format history: 1 = initial; 2 = MapKnowledge drops its separate
+/// second-hand edge set (first hand + combined + expiry bookkeeping only).
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// What experiment a checkpoint belongs to. Resume validates every field
 /// and throws ConfigError on mismatch — restoring a routing checkpoint

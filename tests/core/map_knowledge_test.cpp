@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace agentnet {
 namespace {
@@ -76,12 +81,12 @@ TEST(MapKnowledgeTest, TransitiveSecondHandSpreads) {
   EXPECT_TRUE(a.knows_edge(3, 0));
 }
 
-TEST(MapKnowledgeTest, LearnUnionMatchesLearnFrom) {
+TEST(MapKnowledgeTest, AdoptPoolMatchesLearnFrom) {
   MapKnowledge a1(4), a2(4), b(4);
   const std::vector<NodeId> out{1, 2};
   b.observe_node(0, out, 6);
   a1.learn_from(b);
-  a2.learn_union(b.combined_edges(), b.any_visits());
+  a2.adopt_pool(b.combined_edges(), b.any_visits());
   EXPECT_EQ(a1.known_edge_count(), a2.known_edge_count());
   EXPECT_EQ(a1.last_visit_any(0), a2.last_visit_any(0));
 }
@@ -174,6 +179,168 @@ TEST(MapKnowledgeExpiryTest, ZeroTtlDisablesExpiry) {
   k.learn_from(peer);
   k.expire_second_hand(1000, 0);
   EXPECT_EQ(k.known_edge_count(), 1u) << "ttl 0 must be a no-op";
+}
+
+TEST(MapKnowledgeTest, AdoptPoolRejectsNonSuperset) {
+  MapKnowledge a(4), b(4);
+  const std::vector<NodeId> out{1, 2, 3};
+  a.observe_node(0, out, 1);
+  EXPECT_THROW(a.adopt_pool(b.combined_edges(), b.any_visits()), ConfigError)
+      << "a pool smaller than the agent's own map cannot be a superset";
+  MapKnowledge small(3);
+  EXPECT_THROW(a.adopt_pool(small.combined_edges(), b.any_visits()),
+               ConfigError);
+  EXPECT_THROW(a.adopt_pool(b.combined_edges(), small.any_visits()),
+               ConfigError);
+}
+
+// --- Randomized checks -------------------------------------------------
+
+/// Random out-neighbour lists over `n` nodes (sorted, no self-loops).
+std::vector<std::vector<NodeId>> random_adjacency(std::size_t n, Rng& rng) {
+  std::vector<std::vector<NodeId>> out(n);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v)
+      if (v != u && rng.bernoulli(0.15)) out[u].push_back(v);
+  }
+  return out;
+}
+
+/// Random disjoint meeting groups of size >= 2 over `agents` indices.
+std::vector<std::vector<std::size_t>> random_groups(std::size_t agents,
+                                                    Rng& rng) {
+  std::vector<std::size_t> order(agents);
+  for (std::size_t i = 0; i < agents; ++i) order[i] = i;
+  rng.shuffle(std::span<std::size_t>(order));
+  std::vector<std::vector<std::size_t>> groups;
+  std::size_t at = 0;
+  while (at + 1 < order.size()) {
+    const std::size_t size =
+        std::min(order.size() - at, 2 + rng.index(4));
+    if (rng.bernoulli(0.6))
+      groups.emplace_back(order.begin() + static_cast<std::ptrdiff_t>(at),
+                          order.begin() +
+                              static_cast<std::ptrdiff_t>(at + size));
+    at += size;
+  }
+  return groups;
+}
+
+std::size_t recounted_size(const MapKnowledge& k) {
+  const auto visits = k.any_visits();
+  const auto visited = static_cast<std::size_t>(
+      std::count_if(visits.begin(), visits.end(),
+                    [](std::int64_t t) { return t != kNeverVisited; }));
+  return 8 * k.combined_edges().count() + 12 * visited;
+}
+
+void expect_same_knowledge(const MapKnowledge& fast, const MapKnowledge& ref,
+                           const std::string& where) {
+  EXPECT_TRUE(fast.combined_edges() == ref.combined_edges()) << where;
+  EXPECT_TRUE(std::equal(fast.any_visits().begin(), fast.any_visits().end(),
+                         ref.any_visits().begin(), ref.any_visits().end()))
+      << where;
+  EXPECT_EQ(fast.known_edge_count(), ref.known_edge_count()) << where;
+  EXPECT_EQ(fast.serialized_size_bytes(), ref.serialized_size_bytes())
+      << where;
+  const auto n = static_cast<NodeId>(fast.node_count());
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId v = 0; v < n; ++v)
+      ASSERT_EQ(fast.knows_edge_first_hand(u, v),
+                ref.knows_edge_first_hand(u, v))
+          << where << " edge " << u << "->" << v;
+}
+
+// The exchange path (pool + adopt_pool) must leave every agent exactly as
+// the historical semantics would: a group's maps folded together through
+// pairwise learn_from into one carrier, which every member then learns
+// from. Expiry on and off, across several epoch rotations.
+TEST(MapKnowledgeRandomizedTest, AdoptPoolEqualsPairwiseLearnFrom) {
+  constexpr std::size_t kNodes = 23;
+  constexpr std::size_t kAgents = 9;
+  for (const std::size_t ttl : {std::size_t{0}, std::size_t{3}}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(seed * 101 + ttl);
+      const auto adjacency = random_adjacency(kNodes, rng);
+      std::vector<MapKnowledge> fast(kAgents, MapKnowledge(kNodes));
+      std::vector<MapKnowledge> ref(kAgents, MapKnowledge(kNodes));
+      KnowledgePool pool(kNodes);
+      for (std::size_t t = 0; t < 40; ++t) {
+        const std::string where = "ttl=" + std::to_string(ttl) + " seed=" +
+                                  std::to_string(seed) +
+                                  " t=" + std::to_string(t);
+        for (std::size_t a = 0; a < kAgents; ++a) {
+          if (!rng.bernoulli(0.7)) continue;
+          const auto node = static_cast<NodeId>(rng.index(kNodes));
+          fast[a].observe_node(node, adjacency[node], t);
+          ref[a].observe_node(node, adjacency[node], t);
+        }
+        for (const auto& group : random_groups(kAgents, rng)) {
+          pool.seed(fast[group.front()]);
+          for (std::size_t m = 1; m < group.size(); ++m)
+            pool.absorb(fast[group[m]]);
+          for (std::size_t idx : group)
+            fast[idx].adopt_pool(pool.edges(), pool.visits());
+
+          MapKnowledge carrier(kNodes);
+          for (std::size_t idx : group) carrier.learn_from(ref[idx]);
+          for (std::size_t idx : group) ref[idx].learn_from(carrier);
+        }
+        for (std::size_t a = 0; a < kAgents; ++a) {
+          fast[a].expire_second_hand(t, ttl);
+          ref[a].expire_second_hand(t, ttl);
+          expect_same_knowledge(fast[a], ref[a],
+                                where + " agent=" + std::to_string(a));
+        }
+      }
+    }
+  }
+}
+
+// serialized_size_bytes() is kept incrementally; after every mutating
+// operation it must equal a full recount of the visit times.
+TEST(MapKnowledgeRandomizedTest, SerializedSizeMatchesRecount) {
+  constexpr std::size_t kNodes = 17;
+  Rng rng(77);
+  const auto adjacency = random_adjacency(kNodes, rng);
+  std::vector<MapKnowledge> agents(5, MapKnowledge(kNodes));
+  KnowledgePool pool(kNodes);
+  for (std::size_t t = 0; t < 200; ++t) {
+    MapKnowledge& k = agents[rng.index(agents.size())];
+    MapKnowledge& peer = agents[rng.index(agents.size())];
+    switch (rng.index(4)) {
+      case 0: {
+        const auto node = static_cast<NodeId>(rng.index(kNodes));
+        k.observe_node(node, adjacency[node], t);
+        break;
+      }
+      case 1:
+        k.learn_from(peer);
+        break;
+      case 2:
+        pool.seed(k);
+        pool.absorb(peer);
+        k.adopt_pool(pool.edges(), pool.visits());
+        peer.adopt_pool(pool.edges(), pool.visits());
+        ASSERT_EQ(peer.serialized_size_bytes(), recounted_size(peer))
+            << "t=" << t;
+        break;
+      default:
+        k.expire_second_hand(t, 1 + rng.index(5));
+        break;
+    }
+    ASSERT_EQ(k.serialized_size_bytes(), recounted_size(k)) << "t=" << t;
+  }
+  // load_state recomputes the count from the restored visit times.
+  for (const MapKnowledge& k : agents) {
+    snapshot::ByteWriter w;
+    k.save_state(w);
+    snapshot::ByteReader r(w.bytes());
+    MapKnowledge restored(kNodes);
+    restored.load_state(r);
+    EXPECT_EQ(restored.serialized_size_bytes(), k.serialized_size_bytes());
+    EXPECT_TRUE(restored.combined_edges() == k.combined_edges());
+  }
 }
 
 }  // namespace

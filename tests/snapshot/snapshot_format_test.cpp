@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "common/dense_bitset.hpp"
 #include "common/error.hpp"
+#include "core/map_knowledge.hpp"
 #include "net/graph.hpp"
 #include "snapshot/bytes.hpp"
 
@@ -182,6 +184,25 @@ TEST(CheckpointFileTest, WrongVersionRejected) {
   }
 }
 
+TEST(CheckpointFileTest, VersionOneCheckpointRejected) {
+  // Version 1 carried a separate second-hand edge set per mapping agent;
+  // version 2 dropped it, so old files must fail loudly, not misparse.
+  const std::string path = temp_path("v1.snap");
+  save_checkpoint(sample_checkpoint(), path);
+  std::vector<std::uint8_t> bytes = read_bytes(path);
+  bytes[8] = 1;
+  bytes[9] = bytes[10] = bytes[11] = 0;
+  write_bytes(path, bytes);
+  try {
+    load_checkpoint(path);
+    FAIL() << "version-1 checkpoint accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CheckpointFileTest, EveryTruncationPointRejected) {
   const std::string path = temp_path("trunc.snap");
   save_checkpoint(sample_checkpoint(), path);
@@ -302,6 +323,105 @@ TEST(CheckpointerTest, SaveDueHonoursPeriodAndResumePoint) {
   EXPECT_EQ(restored, 99u);
   EXPECT_FALSE(rport.save_due(25)) << "that state is already on disk";
   EXPECT_TRUE(rport.save_due(50));
+}
+
+/// A MapKnowledge payload in the v2 layout with every size a parameter,
+/// so each field can be mis-sized on its own.
+struct KnowledgeLayout {
+  std::size_t n = 4;
+  std::size_t first_hand_bits = 16;
+  std::size_t combined_bits = 16;
+  std::size_t first_hand_visits = 4;
+  std::size_t any_visits = 4;
+  bool expiry = true;
+  std::size_t recent_bits = 16;
+  std::size_t learned_prev = 4;
+  std::size_t learned_recent = 4;
+};
+
+std::vector<std::uint8_t> knowledge_payload(const KnowledgeLayout& l) {
+  ByteWriter w;
+  w.size(l.n);
+  DenseBitset(l.first_hand_bits).save_state(w);
+  DenseBitset(l.combined_bits).save_state(w);
+  w.pod_vec(std::vector<std::int64_t>(l.first_hand_visits, kNeverVisited));
+  w.pod_vec(std::vector<std::int64_t>(l.any_visits, kNeverVisited));
+  w.boolean(l.expiry);
+  w.size(0);
+  DenseBitset(l.recent_bits).save_state(w);
+  w.pod_vec(std::vector<std::int64_t>(l.learned_prev, kNeverVisited));
+  w.pod_vec(std::vector<std::int64_t>(l.learned_recent, kNeverVisited));
+  return w.take();
+}
+
+void expect_knowledge_rejected(const KnowledgeLayout& layout,
+                               const std::string& what) {
+  const std::vector<std::uint8_t> bytes = knowledge_payload(layout);
+  ByteReader r(bytes);
+  MapKnowledge k(layout.n);
+  try {
+    k.load_state(r);
+    FAIL() << what << " accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("size mismatch"), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+TEST(MapKnowledgeStateTest, WellFormedLayoutsLoad) {
+  for (const bool expiry : {true, false}) {
+    KnowledgeLayout layout;
+    layout.expiry = expiry;
+    if (!expiry)
+      layout.recent_bits = layout.learned_prev = layout.learned_recent = 0;
+    const std::vector<std::uint8_t> bytes = knowledge_payload(layout);
+    ByteReader r(bytes);
+    MapKnowledge k(layout.n);
+    EXPECT_NO_THROW(k.load_state(r)) << "expiry=" << expiry;
+    EXPECT_TRUE(r.done());
+  }
+}
+
+TEST(MapKnowledgeStateTest, MisSizedEdgeSetsRejected) {
+  KnowledgeLayout first_hand;
+  first_hand.first_hand_bits = 25;
+  expect_knowledge_rejected(first_hand, "first-hand set of 25 bits");
+  KnowledgeLayout combined;
+  combined.combined_bits = 9;
+  expect_knowledge_rejected(combined, "combined set of 9 bits");
+  KnowledgeLayout recent;
+  recent.recent_bits = 64;
+  expect_knowledge_rejected(recent, "hearsay set of 64 bits");
+  KnowledgeLayout recent_without_expiry;
+  recent_without_expiry.expiry = false;
+  recent_without_expiry.learned_prev = 0;
+  recent_without_expiry.learned_recent = 0;
+  expect_knowledge_rejected(recent_without_expiry,
+                            "hearsay set with expiry off");
+}
+
+TEST(MapKnowledgeStateTest, MisSizedVisitVectorsRejected) {
+  KnowledgeLayout first_hand;
+  first_hand.first_hand_visits = 3;
+  expect_knowledge_rejected(first_hand, "3 first-hand visit times");
+  KnowledgeLayout any;
+  any.any_visits = 0;
+  expect_knowledge_rejected(any, "empty any-visit vector");
+}
+
+TEST(MapKnowledgeStateTest, LearnedVisitsMustMatchExpiryState) {
+  KnowledgeLayout short_prev;
+  short_prev.learned_prev = 2;
+  expect_knowledge_rejected(short_prev, "2 previous-epoch visit times");
+  KnowledgeLayout empty_recent;
+  empty_recent.learned_recent = 0;
+  expect_knowledge_rejected(empty_recent,
+                            "no current-epoch visits with expiry on");
+  KnowledgeLayout stray;
+  stray.expiry = false;
+  stray.recent_bits = 0;
+  stray.learned_recent = 0;
+  expect_knowledge_rejected(stray, "previous-epoch visits with expiry off");
 }
 
 }  // namespace

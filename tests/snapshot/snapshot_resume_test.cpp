@@ -144,6 +144,11 @@ TEST(SnapshotResumeTest, MappingResumeByteIdentical) {
   task.population = 8;
   task.max_steps = 120;
   task.faults = chaos_plan();
+  // Hearsay expiry on: the epoch bookkeeping (current-epoch hearsay set,
+  // learned-visit times per epoch) must round-trip too, with rotations
+  // falling both before and after the checkpoint steps.
+  task.faults.knowledge_ttl = 15;
+  task.agent_parallel.threads = 1;
   const int runs = 2;
   const std::uint64_t seed = 99;
   const auto leg = [&](const std::string& tag, int threads) {
@@ -167,6 +172,16 @@ TEST(SnapshotResumeTest, MappingResumeByteIdentical) {
         leg("mp_resume_t" + std::to_string(threads), threads);
     EXPECT_EQ(resumed.trace, base.trace) << "threads=" << threads;
     EXPECT_EQ(resumed.metrics, base.metrics) << "threads=" << threads;
+  }
+  // The same checkpoint resumed under the intra-run agent engine.
+  for (const std::size_t agent_threads : {1, 2, 7}) {
+    EnvGuard resume("AGENTNET_RESUME", ck);
+    task.agent_parallel.threads = agent_threads;
+    const Artefacts resumed =
+        leg("mp_resume_a" + std::to_string(agent_threads), 1);
+    EXPECT_EQ(resumed.trace, base.trace) << "agent_threads=" << agent_threads;
+    EXPECT_EQ(resumed.metrics, base.metrics)
+        << "agent_threads=" << agent_threads;
   }
 }
 
