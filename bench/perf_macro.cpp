@@ -206,6 +206,8 @@ BENCHMARK(BM_Scale1MAdvanceSharded)->Iterations(8);
 // --- observable is the steps/sec ratio, which tools/bench_gate floors —
 // --- but only when the host has more than one CPU (num_cpus in the
 // --- benchmark context), since a single-core pool can only add overhead.
+// --- UseRealTime() makes items_per_second a wall-clock rate: the default
+// --- main-thread CPU time would not count the pool workers' time.
 void dense_routing_task_loop(benchmark::State& state, std::size_t threads) {
   RoutingScenarioParams params;
   params.trace_steps = 48;
@@ -229,6 +231,7 @@ void BM_AgentsDenseRoutingTaskSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_AgentsDenseRoutingTaskSerial)
     ->Iterations(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_AgentsDenseRoutingTaskParallelAgents(benchmark::State& state) {
@@ -236,6 +239,7 @@ void BM_AgentsDenseRoutingTaskParallelAgents(benchmark::State& state) {
 }
 BENCHMARK(BM_AgentsDenseRoutingTaskParallelAgents)
     ->Iterations(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // --- Measurement at scale: all-pairs BFS (mean shortest path) on the
@@ -257,6 +261,7 @@ void BM_AgentsScaleMeasureSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_AgentsScaleMeasureSerial)
     ->Iterations(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_AgentsScaleMeasureParallelAgents(benchmark::State& state) {
@@ -264,6 +269,7 @@ void BM_AgentsScaleMeasureParallelAgents(benchmark::State& state) {
 }
 BENCHMARK(BM_AgentsScaleMeasureParallelAgents)
     ->Iterations(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // --- Traffic regime (informational, no Full/Incremental pair): the whole

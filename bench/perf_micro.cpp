@@ -3,8 +3,9 @@
 // measurement. These guard the costs that the figure benches amortise.
 //
 // This TU also replaces global operator new/delete with counting versions,
-// so the zero-allocation claims (warm World::advance(), warm build_into())
-// are measured as counters instead of argued in comments.
+// so the zero-allocation claims (warm World::advance(), warm build_into(),
+// a warm AntRoutingSystem::step()) are measured as counters instead of
+// argued in comments.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include <new>
 #include <string>
 
+#include "aco/ant_routing.hpp"
 #include "common/flat_map.hpp"
 #include "core/mapping_task.hpp"
 #include "core/routing_task.hpp"
@@ -308,6 +310,45 @@ void BM_WorldAdvance(benchmark::State& state) {
       static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_WorldAdvance);
+
+void BM_AntStep(benchmark::State& state) {
+  // allocs_per_hop is the ant plane's zero-allocation gauge: a warm
+  // delay-mode AntRoutingSystem stepping over a mobile topology (a ring of
+  // recorded routing-world graphs) should draw every buffer a hop needs
+  // from its own scratch and recycled ant paths, not from the heap.
+  constexpr std::size_t kFrames = 64;
+  const RoutingScenario scenario{RoutingScenarioParams{}, 2010};
+  World world = scenario.make_world();
+  std::vector<Graph> frames;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    frames.push_back(world.graph());
+    world.advance();
+  }
+  const std::size_t n = scenario.node_count();
+  std::vector<double> delays(n);
+  for (std::size_t v = 0; v < n; ++v)
+    delays[v] = 1.0 + 0.25 * static_cast<double>(v % 7);
+  AntRoutingConfig config;
+  config.reinforcement = AntReinforcement::kDelay;
+  AntRoutingSystem ants(n, scenario.is_gateway(), config, Rng(1));
+  std::size_t t = 0;
+  for (; t < 4 * kFrames; ++t)  // warm pheromone rows, scratch, free list
+    ants.step(frames[t % kFrames], t, delays, {});
+  const std::size_t hops_before = ants.ant_hops();
+  std::size_t allocs = 0;
+  for (auto _ : state) {
+    const std::size_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    ants.step(frames[t % kFrames], t, delays, {});
+    allocs += g_allocations.load(std::memory_order_relaxed) - before;
+    ++t;
+  }
+  const auto hops = static_cast<double>(ants.ant_hops() - hops_before);
+  state.SetItemsProcessed(static_cast<std::int64_t>(hops));
+  state.counters["allocs_per_hop"] =
+      hops > 0.0 ? static_cast<double>(allocs) / hops : 0.0;
+}
+BENCHMARK(BM_AntStep);
 
 void BM_SpatialGridRebuild(benchmark::State& state) {
   Rng rng(1);

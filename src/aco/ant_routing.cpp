@@ -13,7 +13,9 @@ AntRoutingSystem::AntRoutingSystem(std::size_t node_count,
                                    AntRoutingConfig config, Rng rng)
     : config_(config),
       is_gateway_(std::move(is_gateway)),
+      unexplored_weight_(std::pow(0.0 + config.exploration, config.beta)),
       pheromone_(node_count),
+      on_path_(node_count, 0),
       rng_(rng) {
   AGENTNET_REQUIRE(is_gateway_.size() == node_count,
                    "gateway mask size mismatch");
@@ -104,6 +106,14 @@ void AntRoutingSystem::account_hop(const Ant& ant) {
   control_bytes_ += 16 + 8 * ant.path.size();
 }
 
+void AntRoutingSystem::stamp_path(const Ant& ant) {
+  if (++path_stamp_ == 0) {  // wrapped: clear marks left by old stamps
+    std::fill(on_path_.begin(), on_path_.end(), 0);
+    path_stamp_ = 1;
+  }
+  for (NodeId u : ant.path) on_path_[u] = path_stamp_;
+}
+
 void AntRoutingSystem::advance_forward(Ant& ant, const Graph& graph,
                                        std::span<const double> hop_delays) {
   const NodeId at = ant.path.back();
@@ -112,38 +122,48 @@ void AntRoutingSystem::advance_forward(Ant& ant, const Graph& graph,
     return;
   }
   // Candidates: current neighbours not already on the path (loop avoidance).
-  std::vector<NodeId> candidates;
-  std::vector<double> weights;
+  // Both the neighbour span and the pheromone row ascend by id, so one
+  // merge walk reads each neighbour's τ; row keys that are no longer
+  // neighbours are stepped over. Weights keep std::pow (not x*x) and the
+  // left-to-right sum, so every draw matches a per-neighbour lookup.
+  stamp_path(ant);
+  candidates_.clear();
+  weights_.clear();
   double total = 0.0;
+  const auto& row = pheromone_[at];
+  auto entry = row.begin();
   for (NodeId v : graph.out_neighbors(at)) {
-    if (std::find(ant.path.begin(), ant.path.end(), v) != ant.path.end())
-      continue;
+    if (on_path_[v] == path_stamp_) continue;
+    while (entry != row.end() && entry->first < v) ++entry;
     const double w =
-        std::pow(pheromone(at, v) + config_.exploration, config_.beta);
-    candidates.push_back(v);
-    weights.push_back(w);
+        entry != row.end() && entry->first == v
+            ? std::pow(entry->second + config_.exploration, config_.beta)
+            : unexplored_weight_;
+    candidates_.push_back(v);
+    weights_.push_back(w);
     total += w;
   }
-  if (candidates.empty()) {
+  if (candidates_.empty()) {
     ant.path.clear();  // dead end: die
     return;
   }
   double pick = rng_.uniform01() * total;
-  std::size_t chosen = candidates.size() - 1;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    pick -= weights[i];
+  std::size_t chosen = candidates_.size() - 1;
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    pick -= weights_[i];
     if (pick <= 0.0) {
       chosen = i;
       break;
     }
   }
-  ant.path.push_back(candidates[chosen]);
+  const NodeId next = candidates_[chosen];
+  ant.path.push_back(next);
   // The ant experiences the queueing delay of the link it just crossed
   // (node `at`'s out-queue). An empty span is an idle data plane: every
   // hop costs exactly 1.0, so trip_time == hop count bit-for-bit.
   ant.trip_time += hop_delays.empty() ? 1.0 : hop_delays[at];
   account_hop(ant);
-  if (is_gateway_[candidates[chosen]]) {
+  if (is_gateway_[next]) {
     // Turn around: the backward ant starts at the gateway end.
     ant.backward = true;
     ant.position = ant.path.size() - 1;
@@ -221,6 +241,10 @@ void AntRoutingSystem::step(const Graph& graph, std::size_t now,
     if (ants_.size() >= config_.max_ants) break;
     if (rng_.bernoulli(config_.launch_probability)) {
       Ant ant;
+      if (!free_paths_.empty()) {
+        ant.path = std::move(free_paths_.back());
+        free_paths_.pop_back();
+      }
       ant.path.push_back(v);
       ants_.push_back(std::move(ant));
       ++ants_launched_;
@@ -242,7 +266,16 @@ void AntRoutingSystem::step(const Graph& graph, std::size_t now,
     else
       advance_forward(ant, graph, hop_delays);
   }
-  std::erase_if(ants_, [](const Ant& ant) { return ant.path.empty(); });
+  // Order-preserving compaction; dead ants' path buffers (cleared, with
+  // their capacity) go to the free list for the next launches.
+  std::size_t kept = 0;
+  for (Ant& ant : ants_) {
+    if (ant.path.empty())
+      free_paths_.push_back(std::move(ant.path));
+    else
+      std::swap(ants_[kept++], ant);
+  }
+  ants_.resize(kept);
 }
 
 RoutingTables AntRoutingSystem::snapshot_tables(std::size_t now) const {

@@ -172,13 +172,29 @@ class AntRoutingSystem {
                         std::span<const double> gateway_bias);
   void account_hop(const Ant& ant);
 
+  /// Marks the nodes of `ant`'s path in on_path_ under a fresh stamp.
+  void stamp_path(const Ant& ant);
+
   AntRoutingConfig config_;
   std::vector<bool> is_gateway_;
+  /// (0 + ε)^β: the sampling weight of a neighbour with no pheromone entry,
+  /// computed once with the same std::pow call a hop would make.
+  double unexplored_weight_;
   /// pheromone_[u] maps neighbour id → τ(u → neighbour). Flat sorted rows:
   /// same ascending-id iteration (and thus bit-identical evaporation and
   /// argmax order) as the std::map they replaced.
   std::vector<FlatMap<NodeId, double>> pheromone_;
   std::vector<Ant> ants_;
+  // Forward-hop scratch, reused so a warm step does not touch the heap.
+  // None of it is state: checkpoints carry ants_ and pheromone_ only.
+  std::vector<NodeId> candidates_;
+  std::vector<double> weights_;
+  /// on_path_[v] == path_stamp_ iff v is on the path of the ant being
+  /// advanced; a new stamp per hop invalidates every older mark at once.
+  std::vector<std::uint32_t> on_path_;
+  std::uint32_t path_stamp_ = 0;
+  /// Path buffers of dead ants, handed to the next launches.
+  std::vector<std::vector<NodeId>> free_paths_;
   Rng rng_;
   AgentParallel par_;  ///< Inactive by default; see set_parallel().
   std::size_t ant_hops_ = 0;

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
 #include "routing/connectivity.hpp"
 
@@ -106,6 +109,13 @@ TEST(AntRoutingTest, DeadEndAntsDie) {
   // Loop avoidance kills ants fast; the population must not grow without
   // bound.
   EXPECT_LT(system.active_ants(), 4096u);
+  // Exact counts: a leaf ant hops to the hub, then to another leaf, and
+  // dies there at a dead end (its only neighbour is on its path); a hub ant
+  // dies after one hop. An ant that outlived its dead end would shift all
+  // three.
+  EXPECT_EQ(system.ants_launched(), 400u);
+  EXPECT_EQ(system.ant_hops(), 697u);
+  EXPECT_EQ(system.active_ants(), 7u);
 }
 
 TEST(AntRoutingTest, TtlBoundsForwardWalks) {
@@ -116,6 +126,44 @@ TEST(AntRoutingTest, TtlBoundsForwardWalks) {
   for (std::size_t t = 0; t < 100; ++t) system.step(w.graph, t);
   EXPECT_GT(system.pheromone(1, 0), 0.0);
   EXPECT_DOUBLE_EQ(system.pheromone(3, 2), 0.0);
+  // Exact counts pin where walks stop: a TTL that let one more hop through,
+  // or an ant surviving past it, changes every figure below.
+  EXPECT_EQ(system.ants_launched(), 400u);
+  EXPECT_EQ(system.ants_completed(), 98u);
+  EXPECT_EQ(system.ant_hops(), 498u);
+  EXPECT_EQ(system.control_bytes(), 15936u);
+  EXPECT_EQ(system.pheromone(1, 0), 43.095608293692543);
+}
+
+TEST(AntRoutingTest, StalePheromoneKeysAreSkipped) {
+  // Pheromone rows outlive links: after the graph rewires, rows hold keys
+  // for nodes that are no longer neighbours, interleaved with the live
+  // ones. Sampling must weigh only current neighbours (a stale key's τ
+  // must neither be read for a live neighbour nor make a stale node a
+  // candidate). The exact counters and τ values pin this behaviour.
+  Graph before(6);
+  for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+           {0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {4, 5}, {1, 5}, {2, 4}})
+    before.add_undirected_edge(u, v);
+  Graph after(6);
+  for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+           {0, 3}, {3, 5}, {5, 2}, {2, 4}, {4, 1}, {1, 0}})
+    after.add_undirected_edge(u, v);
+  const std::vector<bool> is_gateway{true, false, false, false, false, false};
+  AntRoutingSystem system(6, is_gateway, eager(), Rng(10));
+  for (std::size_t t = 0; t < 60; ++t) system.step(before, t);
+  // Precondition: rows hold keys that `after` no longer links.
+  ASSERT_GT(system.pheromone(3, 1), 0.0);
+  ASSERT_GT(system.pheromone(4, 3), 0.0);
+  ASSERT_FALSE(after.has_edge(3, 1));
+  ASSERT_FALSE(after.has_edge(4, 3));
+  for (std::size_t t = 60; t < 90; ++t) system.step(after, t);
+  EXPECT_EQ(system.ants_launched(), 450u);
+  EXPECT_EQ(system.ants_completed(), 425u);
+  EXPECT_EQ(system.ant_hops(), 1624u);
+  EXPECT_EQ(system.pheromone(3, 0), 34.93803496125215);
+  EXPECT_EQ(system.pheromone(4, 1), 14.095664157174863);
+  EXPECT_EQ(system.pheromone(2, 4), 5.7223378717083015);
 }
 
 TEST(AntRoutingTest, MaxAntsCapsPopulation) {

@@ -21,6 +21,7 @@
 #include "common/flat_map.hpp"
 #include "core/mapping_task.hpp"
 #include "core/routing_task.hpp"
+#include "experiments/traffic_experiments.hpp"
 #include "flooding/link_state.hpp"
 #include "net/generators.hpp"
 #include "net/link_noise.hpp"
@@ -277,6 +278,30 @@ TEST(GoldenEquivalenceTest, AntRouting) {
   EXPECT_EQ(r.control_bytes, 121048u);
   EXPECT_EQ(r.ants_launched, 1349u);
   EXPECT_EQ(r.ants_completed, 222u);
+}
+
+// The loaded AntNet loop: delay-mode ants fed by the flow data plane's
+// queueing delays, gateway-balanced deposits, and a fault plan whose
+// crashes, burst drops and blackout keep killing ants mid-walk (dead ends,
+// broken return paths), so every branch of the ant hop is exercised.
+TEST(GoldenEquivalenceTest, TrafficTaskUnderFaults) {
+  TrafficTaskConfig config;
+  config.steps = 120;
+  config.measure_from = 60;
+  config.workload.offered_load = 0.3;
+  config.ants.reinforcement = AntReinforcement::kDelay;
+  config.balance_gateways = true;
+  config.faults.node_crash_probability = 0.05;
+  config.faults.crash_persistence = 20;
+  config.faults.burst_drop_probability = 0.1;
+  config.faults.burst_persistence = 5;
+  config.faults.blackouts.push_back(Blackout{{500.0, 500.0}, 250.0, 50, 40});
+  const auto r = run_traffic_task(golden_scenario(), config, Rng(7));
+  EXPECT_EQ(r.ant_hops, 2047u);
+  EXPECT_EQ(r.ants_launched, 1341u);
+  EXPECT_EQ(r.ants_completed, 170u);
+  EXPECT_EQ(r.traffic.delivered, 79u);
+  EXPECT_EQ(r.mean_connectivity, 0.20944444444444438);
 }
 
 TEST(GoldenEquivalenceTest, DvRouting) {
