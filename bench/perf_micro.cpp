@@ -4,8 +4,8 @@
 //
 // This TU also replaces global operator new/delete with counting versions,
 // so the zero-allocation claims (warm World::advance(), warm build_into(),
-// a warm AntRoutingSystem::step()) are measured as counters instead of
-// argued in comments.
+// a warm AntRoutingSystem::step(), a warm routing-task step) are measured
+// as counters instead of argued in comments.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -21,6 +21,7 @@
 #include "core/mapping_task.hpp"
 #include "core/routing_task.hpp"
 #include "experiments/mapping_experiments.hpp"
+#include "experiments/paper.hpp"
 #include "geom/spatial_grid.hpp"
 #include "mobility/mobility.hpp"
 #include "net/generators.hpp"
@@ -290,6 +291,42 @@ void BM_RoutingStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 30 * state.range(0));
 }
 BENCHMARK(BM_RoutingStep)->Arg(25)->Arg(100);
+
+void BM_RoutingStepPaper(benchmark::State& state) {
+  // allocs_per_step is the routing task's zero-allocation gauge, on the
+  // paper-routing configuration (100 oldest-node agents, direct
+  // communication, footprint-first stigmergy, oracle recorded). Each
+  // iteration runs the task for kShort and for kLong steps from the same
+  // seed: set-up and tear-down allocate the same in both runs, so the
+  // difference over kLong − kShort steps is what a warm step allocates.
+  constexpr std::size_t kShort = 100;
+  constexpr std::size_t kLong = 300;
+  const RoutingScenario scenario{RoutingScenarioParams{},
+                                 paper::kRoutingScenarioSeed};
+  RoutingTaskConfig cfg;
+  cfg.population = 100;
+  cfg.agent.policy = RoutingPolicy::kOldestNode;
+  cfg.agent.communicate = true;
+  cfg.agent.stigmergy = StigmergyMode::kFilterFirst;
+  cfg.record_oracle = true;
+  cfg.measure_from = kShort / 2;
+  const auto allocations_of = [&](std::size_t steps) {
+    cfg.steps = steps;
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    benchmark::DoNotOptimize(run_routing_task(scenario, cfg, Rng(1)));
+    return static_cast<double>(
+        g_allocations.load(std::memory_order_relaxed) - before);
+  };
+  allocations_of(kShort);  // warm the per-thread selection/walk scratch
+  double allocs = 0.0;
+  for (auto _ : state) allocs += allocations_of(kLong) - allocations_of(kShort);
+  const auto iterations = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kShort + kLong));
+  state.counters["allocs_per_step"] =
+      allocs / (iterations * static_cast<double>(kLong - kShort));
+}
+BENCHMARK(BM_RoutingStepPaper)->Unit(benchmark::kMillisecond);
 
 void BM_WorldAdvance(benchmark::State& state) {
   // allocs_per_advance is the zero-allocation steady-state gauge: after the

@@ -110,6 +110,13 @@ class FlatMap {
     return 1;
   }
 
+  /// Appends an entry whose key exceeds every present key (merge walks
+  /// that emit in ascending order build a map without binary searches).
+  void append(const Key& key, Value value) {
+    AGENTNET_ASSERT(entries_.empty() || entries_.back().first < key);
+    entries_.emplace_back(key, std::move(value));
+  }
+
   friend bool operator==(const FlatMap&, const FlatMap&) = default;
 
   /// Checkpoint support. Keys (integral) go through scalar(); the caller

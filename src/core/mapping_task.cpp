@@ -55,9 +55,9 @@ struct MeetingPlan {
   bool corrupted = false;
 };
 
-std::vector<std::vector<std::size_t>> in_range_groups(
-    const std::vector<MappingAgent>& agents, const Graph& graph,
-    const World& world, MeetingScratch& scratch) {
+void in_range_groups(const std::vector<MappingAgent>& agents,
+                     const Graph& graph, const World& world,
+                     MeetingScratch& scratch, MeetingGroups& out) {
   // CAUTION: the output group order depends on the exact unite(i, j) call
   // sequence (it decides which index ends up as each set's root), and the
   // exchange phase draws fault RNG per group in that order — so any
@@ -97,13 +97,12 @@ std::vector<std::vector<std::size_t>> in_range_groups(
       }
     }
   }
-  std::vector<std::vector<std::size_t>> by_root(agents.size());
+  // Groups in ascending root order, members ascending: the packed
+  // (root, index) key sorts exactly that way.
+  out.keys.clear();
   for (std::size_t i = 0; i < agents.size(); ++i)
-    by_root[uf.find(i)].push_back(i);
-  std::vector<std::vector<std::size_t>> groups;
-  for (auto& g : by_root)
-    if (g.size() >= 2) groups.push_back(std::move(g));
-  return groups;
+    out.keys.push_back((static_cast<std::uint64_t>(uf.find(i)) << 32) | i);
+  out.group_keys();
 }
 
 }  // namespace
@@ -171,6 +170,7 @@ MappingTaskResult run_mapping_task(World& world,
   std::vector<std::size_t> decide_order(agents.size());
   std::iota(decide_order.begin(), decide_order.end(), 0);
   MeetingScratch meeting_scratch;
+  MeetingGroups groups;
 
   // The fault injector exists only when the plan does something: an inert
   // plan must not even fork the fault stream, because the fork advances
@@ -355,17 +355,18 @@ MappingTaskResult run_mapping_task(World& world,
       AGENTNET_OBS_PHASE(kExchange);
       AGENTNET_REQUIRE(config.comm_radius <= 1,
                        "comm_radius must be 0 or 1");
-      const auto groups =
-          config.comm_radius == 0
-              ? colocated_groups(agents)
-              : in_range_groups(agents, live, world, meeting_scratch);
+      if (config.comm_radius == 0)
+        colocated_groups(agents, groups);
+      else
+        in_range_groups(agents, live, world, meeting_scratch, groups);
       // Plan pass (serial): membership, venue and the per-meeting
       // corruption draw, in group order — the exact RNG sequence of the
       // historical single-pass loop, which drew nothing while pooling.
       meetings.clear();
       {
         obs::ScopedPhase plan_phase(obs::Phase::kExchangePlan);
-        for (const auto& group : groups) {
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+          const std::span<const std::size_t> group = groups[g];
           // Members stranded on crashed nodes cannot take part; a
           // corrupted exchange (drawn once per meeting) discards the
           // whole payload.

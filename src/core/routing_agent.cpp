@@ -1,6 +1,8 @@
 #include "core/routing_agent.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 namespace agentnet {
 
@@ -34,6 +36,48 @@ void RoutingAgent::trim_history() {
       if (it->second < oldest->second) oldest = it;
     history_.erase(oldest);
   }
+}
+
+void RoutingAgent::merge_histories(const History& a, const History& b,
+                                   History& out) {
+  out.clear();
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    if (i->first < j->first) {
+      out.append(i->first, i->second);
+      ++i;
+    } else if (j->first < i->first) {
+      out.append(j->first, j->second);
+      ++j;
+    } else {
+      out.append(i->first, std::max(i->second, j->second));
+      ++i;
+      ++j;
+    }
+  }
+  for (; i != a.end(); ++i) out.append(i->first, i->second);
+  for (; j != b.end(); ++j) out.append(j->first, j->second);
+}
+
+void RoutingAgent::trim_into(const History& pool, std::size_t cap,
+                             History& out) {
+  if (pool.size() <= cap) {
+    out = pool;
+    return;
+  }
+  // The (step, node) pair of rank k − 1 in ascending order is the cut:
+  // the entries at or below it are the k oldest, lowest node ids first on
+  // equal steps — exactly what k rounds of evict-oldest remove.
+  const std::size_t k = pool.size() - cap;
+  thread_local std::vector<std::pair<std::size_t, NodeId>> keys;
+  keys.clear();
+  for (const auto& [node, step] : pool) keys.emplace_back(step, node);
+  std::nth_element(keys.begin(), keys.begin() + (k - 1), keys.end());
+  const auto cut = keys[k - 1];
+  out.clear();
+  for (const auto& [node, step] : pool)
+    if (std::pair(step, node) > cut) out.append(node, step);
 }
 
 void RoutingAgent::arrive(const std::vector<bool>& is_gateway,
@@ -79,17 +123,18 @@ bool RoutingAgent::hint_better(const RouteHint& a, const RouteHint& b) {
   return a.gateway < b.gateway;
 }
 
-void RoutingAgent::adopt(const RouteHint& best,
-                         const FlatMap<NodeId, std::size_t>& peer_history) {
+void RoutingAgent::adopt(const RouteHint& best, const History& peer_history) {
   if (hint_better(best, hint_)) hint_ = best;
-  for (const auto& [node, step] : peer_history) {
-    auto it = history_.find(node);
-    if (it == history_.end())
-      history_.emplace(node, step);
-    else
-      it->second = std::max(it->second, step);
-  }
-  trim_history();
+  thread_local History merged;
+  merge_histories(history_, peer_history, merged);
+  trim_into(merged, config_.history_size, history_);
+}
+
+void RoutingAgent::adopt_pool(const RouteHint& best,
+                              const History& trimmed_pool) {
+  AGENTNET_ASSERT(trimmed_pool.size() <= config_.history_size);
+  if (hint_better(best, hint_)) hint_ = best;
+  history_ = trimmed_pool;
 }
 
 void RoutingAgent::move_to(NodeId target) {

@@ -53,6 +53,9 @@ class RoutingAgent {
     bool valid() const { return gateway != kInvalidNode; }
   };
 
+  /// Bounded visit history: node → last visit step.
+  using History = FlatMap<NodeId, std::size_t>;
+
   RoutingAgent(int id, NodeId start, RoutingAgentConfig config, Rng rng);
 
   int id() const { return id_; }
@@ -65,7 +68,7 @@ class RoutingAgent {
   /// Bounded visit history (node → last visit step), oldest evicted first.
   /// Flat sorted table; iterates in ascending node order like the std::map
   /// it replaced (the bit-identical invariant, docs/ARCHITECTURE.md).
-  const FlatMap<NodeId, std::size_t>& history() const { return history_; }
+  const History& history() const { return history_; }
 
   /// Records arrival at the current location: history update plus hint
   /// refresh when standing on a gateway.
@@ -78,8 +81,24 @@ class RoutingAgent {
   /// Meeting exchange, receive side: adopt `best` if it beats the carried
   /// hint, and absorb `peer_history` (keeping the freshest entries, bounded
   /// by history_size).
-  void adopt(const RouteHint& best,
-             const FlatMap<NodeId, std::size_t>& peer_history);
+  void adopt(const RouteHint& best, const History& peer_history);
+
+  /// adopt() when the peer side is a meeting's pool: the max-merge of
+  /// every talker's history (this agent's included) already passed through
+  /// trim_into(pool, history_size). Absorbing the untrimmed pool would
+  /// leave exactly that trimmed pool — every own entry is covered by a
+  /// pool entry at least as fresh — so it is copied.
+  void adopt_pool(const RouteHint& best, const History& trimmed_pool);
+
+  /// `out` = the max-merge of `a` and `b` (latest step per node), by one
+  /// merge walk over the two sorted tables.
+  static void merge_histories(const History& a, const History& b,
+                              History& out);
+
+  /// `out` = `pool` minus its pool.size() − cap oldest entries, lowest
+  /// node ids first on equal steps: one pass that removes the same entries
+  /// as pool.size() − cap rounds of evict-oldest.
+  static void trim_into(const History& pool, std::size_t cap, History& out);
 
   /// Moves to `target` (a current neighbour or the same node), extending
   /// the carried hint by one hop or expiring it past the memory bound.
@@ -133,7 +152,7 @@ class RoutingAgent {
   int id_;
   NodeId location_;
   RoutingAgentConfig config_;
-  FlatMap<NodeId, std::size_t> history_;
+  History history_;
   RouteHint hint_;
   Rng rng_;
 };

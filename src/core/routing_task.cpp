@@ -4,6 +4,8 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <span>
+#include <utility>
 
 #include "common/stats.hpp"
 #include "core/colocation.hpp"
@@ -205,11 +207,22 @@ namespace {
 /// One planned meeting: the serial plan pass fixes membership, venue and
 /// the corruption draw (group-order RNG); pooling and adoption then run
 /// group-parallel and the commit pass replays counters/events in group
-/// order.
+/// order. Talkers are the range [first, first + count) of one flat list
+/// shared by the step's meetings.
 struct MeetingPlan {
-  std::vector<std::size_t> talkers;
+  std::size_t first = 0;
+  std::size_t count = 0;
   NodeId venue = 0;
   bool corrupted = false;
+};
+
+/// Pooling buffers for one meeting at a time, reused across meetings and
+/// steps (the parallel exchange path builds one per worker instead).
+struct PoolScratch {
+  RoutingAgent::History pool;
+  RoutingAgent::History merged;
+  RoutingAgent::History trimmed;
+  std::vector<std::size_t> by_bound;
 };
 
 }  // namespace
@@ -267,10 +280,15 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
 
   RoutingTaskResult result;
   result.connectivity.reserve(config.steps);
+  if (config.record_oracle) result.oracle.reserve(config.steps);
+  // Per-step buffers, reused across steps so a warm step allocates
+  // nothing.
   std::vector<std::size_t> decide_order;
-  // Meeting-exchange scratch, reused across meetings and steps (the
-  // parallel exchange path builds per-worker scratch instead).
-  FlatMap<NodeId, std::size_t> pooled;
+  std::vector<NodeId> targets;
+  std::vector<char> lost;
+  MeetingGroups groups;
+  std::vector<std::size_t> talkers;
+  PoolScratch pooled;
   // The intra-run agent engine. Recovery paths can change the live mix of
   // configs (watchdog uses the roster, gateway respawn the homogeneous
   // template), so the stigmergy gate for the decide phase checks the live
@@ -487,7 +505,7 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
     // Phase 2: decide on the live graph. Paper order: the movement decision
     // precedes the meeting exchange. Stigmergic agents stamp immediately so
     // later deciders this step disperse away from them.
-    std::vector<NodeId> targets(agents.size());
+    targets.resize(agents.size());
     {
       AGENTNET_OBS_PHASE(kDecide);
       // The fault-masked view of this step's topology (cached above); a
@@ -530,50 +548,81 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
       // sequence of the historical single-pass loop (pooling draws
       // nothing).
       meetings.clear();
+      talkers.clear();
       {
         obs::ScopedPhase plan_phase(obs::Phase::kExchangePlan);
-        for (const auto& group : colocated_groups(agents)) {
+        colocated_groups(agents, groups);
+        for (std::size_t g = 0; g < groups.size(); ++g) {
           MeetingPlan meeting;
-          for (std::size_t idx : group)
-            if (agents[idx].config().communicate)
-              meeting.talkers.push_back(idx);
-          if (meeting.talkers.size() < 2) continue;
+          meeting.first = talkers.size();
+          for (std::size_t idx : groups[g])
+            if (agents[idx].config().communicate) talkers.push_back(idx);
+          meeting.count = talkers.size() - meeting.first;
           // A crashed host carries no meeting; a corrupted exchange is
           // drawn per meeting — the payload is discarded, nobody learns.
-          meeting.venue = agents[meeting.talkers[0]].location();
-          if (injector.down(meeting.venue)) continue;
-          meeting.corrupted = plan.exchange_failure_probability > 0.0 &&
-                              injector.corrupt_exchange();
-          meetings.push_back(std::move(meeting));
+          if (meeting.count >= 2) {
+            meeting.venue = agents[talkers[meeting.first]].location();
+            if (!injector.down(meeting.venue)) {
+              meeting.corrupted = plan.exchange_failure_probability > 0.0 &&
+                                  injector.corrupt_exchange();
+              meetings.push_back(meeting);
+              continue;
+            }
+          }
+          talkers.resize(meeting.first);
         }
       }
+      const auto talkers_of = [&](const MeetingPlan& meeting) {
+        return std::span<const std::size_t>(talkers).subspan(meeting.first,
+                                                             meeting.count);
+      };
       // Pool + adopt (group-parallel): meetings are disjoint, so each can
       // pick its best hint, pool histories and distribute to its own
-      // members concurrently — per-worker scratch, no events, no RNG.
+      // members concurrently — per-worker scratch, no events, no RNG. The
+      // pool (latest step per node over every talker) covers each talker's
+      // history, so a talker is left with the pool trimmed to its own
+      // bound: the pool is trimmed once per distinct bound and copied.
       const auto pool_meeting = [&](const MeetingPlan& meeting,
-                                    FlatMap<NodeId, std::size_t>& scratch) {
+                                    PoolScratch& scratch) {
+        const auto members = talkers_of(meeting);
         RoutingAgent::RouteHint best;  // invalid
-        for (std::size_t idx : meeting.talkers)
+        for (std::size_t idx : members)
           if (RoutingAgent::hint_better(agents[idx].hint(), best))
             best = agents[idx].hint();
         // Pool histories (max last-visit per node) before anyone mutates.
-        scratch.clear();
-        for (std::size_t idx : meeting.talkers) {
-          for (const auto& [node, step] : agents[idx].history()) {
-            auto it = scratch.find(node);
-            if (it == scratch.end())
-              scratch.emplace(node, step);
-            else
-              it->second = std::max(it->second, step);
-          }
+        scratch.pool = agents[members[0]].history();
+        for (std::size_t m = 1; m < members.size(); ++m) {
+          RoutingAgent::merge_histories(
+              scratch.pool, agents[members[m]].history(), scratch.merged);
+          std::swap(scratch.pool, scratch.merged);
         }
-        for (std::size_t idx : meeting.talkers)
-          agents[idx].adopt(best, scratch);
+        const auto bound = [&](std::size_t idx) {
+          return agents[idx].config().history_size;
+        };
+        scratch.by_bound.assign(members.begin(), members.end());
+        std::sort(scratch.by_bound.begin(), scratch.by_bound.end(),
+                  [&](std::size_t a, std::size_t b) {
+                    return bound(a) < bound(b) ||
+                           (bound(a) == bound(b) && a < b);
+                  });
+        std::size_t trimmed_to = 0;  // bounds are >= 1
+        for (std::size_t idx : scratch.by_bound) {
+          const std::size_t cap = bound(idx);
+          if (scratch.pool.size() <= cap) {
+            agents[idx].adopt_pool(best, scratch.pool);
+            continue;
+          }
+          if (cap != trimmed_to) {
+            RoutingAgent::trim_into(scratch.pool, cap, scratch.trimmed);
+            trimmed_to = cap;
+          }
+          agents[idx].adopt_pool(best, scratch.trimmed);
+        }
       };
       if (par.active() && meetings.size() > 1) {
         par.for_each_scratch(
-            meetings.size(), [] { return FlatMap<NodeId, std::size_t>(); },
-            [&](std::size_t m, FlatMap<NodeId, std::size_t>& scratch) {
+            meetings.size(), [] { return PoolScratch(); },
+            [&](std::size_t m, PoolScratch& scratch) {
               if (!meetings[m].corrupted) pool_meeting(meetings[m], scratch);
             });
       } else {
@@ -588,17 +637,16 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
         for (const MeetingPlan& meeting : meetings) {
           if (meeting.corrupted) {
             AGENTNET_COUNT(kExchangesCorrupted);
-            AGENTNET_OBS_EVENT(
-                kExchangeCorrupted, t, -1,
-                static_cast<std::int64_t>(meeting.venue),
-                static_cast<std::int64_t>(meeting.talkers.size()));
+            AGENTNET_OBS_EVENT(kExchangeCorrupted, t, -1,
+                               static_cast<std::int64_t>(meeting.venue),
+                               static_cast<std::int64_t>(meeting.count));
             continue;
           }
           AGENTNET_COUNT(kAgentMeetings);
           AGENTNET_OBS_EVENT(kMeet, t, -1,
                              static_cast<std::int64_t>(meeting.venue),
-                             static_cast<std::int64_t>(meeting.talkers.size()));
-          for (std::size_t idx : meeting.talkers) {
+                             static_cast<std::int64_t>(meeting.count));
+          for (std::size_t idx : talkers_of(meeting)) {
             AGENTNET_COUNT(kKnowledgeMerges);
             AGENTNET_OBS_EVENT(
                 kMerge, t, agents[idx].id(),
@@ -612,7 +660,7 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
     // advanced) and update the routing table of the node now occupied.
     // With failure injection, a migrating agent can be lost in transit —
     // it neither arrives nor installs, and its state is gone.
-    std::vector<char> lost(agents.size(), 0);
+    lost.assign(agents.size(), 0);
     bool any_lost = false;
     {
       AGENTNET_OBS_PHASE(kMove);

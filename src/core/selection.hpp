@@ -55,6 +55,19 @@ inline std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
+
+/// Per-thread candidate buffers for select_target: a warm decision
+/// allocates nothing. One set per thread keeps the agent engine's fan-out
+/// (common/agent_parallel.hpp) race-free; select_target never re-enters
+/// itself, so one set per thread suffices.
+struct SelectionScratch {
+  std::vector<NodeId> unmarked;
+  std::vector<NodeId> best;
+};
+inline SelectionScratch& selection_scratch() {
+  thread_local SelectionScratch scratch;
+  return scratch;
+}
 }  // namespace detail
 
 /// Picks a movement target among `neighbors` (minimisers of `key`, with
@@ -67,22 +80,22 @@ NodeId select_target(std::span<const NodeId> neighbors, KeyFn&& key,
                      NodeId at, std::size_t now, Rng& rng,
                      TieBreak tie_break = TieBreak::kRandom) {
   if (neighbors.empty()) return kInvalidNode;
+  detail::SelectionScratch& scratch = detail::selection_scratch();
 
-  // Small scratch buffers; neighbour lists are short (mean degree < 10).
-  std::vector<NodeId> pool(neighbors.begin(), neighbors.end());
-
+  std::span<const NodeId> pool = neighbors;
   if (mode == StigmergyMode::kFilterFirst) {
-    std::vector<NodeId> unmarked;
-    unmarked.reserve(pool.size());
+    scratch.unmarked.clear();
     for (NodeId v : pool)
-      if (!board.marked(at, v, now)) unmarked.push_back(v);
-    if (!unmarked.empty()) {
-      if (unmarked.size() < pool.size()) AGENTNET_COUNT(kStigmergyAvoidances);
-      pool = std::move(unmarked);
+      if (!board.marked(at, v, now)) scratch.unmarked.push_back(v);
+    if (!scratch.unmarked.empty()) {
+      if (scratch.unmarked.size() < pool.size())
+        AGENTNET_COUNT(kStigmergyAvoidances);
+      pool = scratch.unmarked;
     }
   }
 
-  std::vector<NodeId> best;
+  std::vector<NodeId>& best = scratch.best;
+  best.clear();
   std::int64_t best_key = 0;
   // The shared-hash tie-break folds the FULL decision context — every
   // candidate and its key — into the hash. Two agents therefore pick the
@@ -104,24 +117,26 @@ NodeId select_target(std::span<const NodeId> neighbors, KeyFn&& key,
     }
   }
 
+  // kTieBreak never filters the pool above, so `unmarked` is free here.
+  std::span<const NodeId> winners = best;
   if (mode == StigmergyMode::kTieBreak && best.size() > 1) {
-    std::vector<NodeId> unmarked;
-    unmarked.reserve(best.size());
+    scratch.unmarked.clear();
     for (NodeId v : best)
-      if (!board.marked(at, v, now)) unmarked.push_back(v);
-    if (!unmarked.empty()) {
-      if (unmarked.size() < best.size()) AGENTNET_COUNT(kStigmergyAvoidances);
-      best = std::move(unmarked);
+      if (!board.marked(at, v, now)) scratch.unmarked.push_back(v);
+    if (!scratch.unmarked.empty()) {
+      if (scratch.unmarked.size() < best.size())
+        AGENTNET_COUNT(kStigmergyAvoidances);
+      winners = scratch.unmarked;
     }
   }
 
   if (tie_break == TieBreak::kSharedHash) {
     const std::uint64_t h = detail::mix64(context_hash ^ now);
     const auto idx = static_cast<std::size_t>(
-        (static_cast<__uint128_t>(h) * best.size()) >> 64);
-    return best[idx];
+        (static_cast<__uint128_t>(h) * winners.size()) >> 64);
+    return winners[idx];
   }
-  return best[rng.index(best.size())];
+  return winners[rng.index(winners.size())];
 }
 
 }  // namespace agentnet

@@ -169,8 +169,14 @@ class OracleConnectivityCache {
 
  private:
   std::uint64_t epoch_ = kNoCacheEpoch;
-  Graph reversed_;  ///< Transpose scratch, recycled across misses.
   ConnectivityResult result_{};
+  // Miss scratch, recycled across misses: the transpose in CSR form (node
+  // w's in-neighbours are in_sources_[in_offsets_[w], in_offsets_[w + 1])),
+  // the BFS queue and the reached flags.
+  std::vector<std::uint32_t> in_offsets_;
+  std::vector<NodeId> in_sources_;
+  std::vector<NodeId> queue_;
+  std::vector<char> reach_;
 };
 
 }  // namespace agentnet

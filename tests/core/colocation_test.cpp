@@ -28,20 +28,31 @@ std::vector<StubAgent> roster(std::initializer_list<NodeId> locations) {
   return agents;
 }
 
+/// colocated_groups' flat output as one vector per group.
+std::vector<std::vector<std::size_t>> groups_of(
+    const std::vector<StubAgent>& agents) {
+  MeetingGroups flat;
+  colocated_groups(agents, flat);
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t g = 0; g < flat.size(); ++g)
+    groups.emplace_back(flat[g].begin(), flat[g].end());
+  return groups;
+}
+
 TEST(ColocationTest, EmptyRosterHasNoGroups) {
-  EXPECT_TRUE(colocated_groups(std::vector<StubAgent>{}).empty());
+  EXPECT_TRUE(groups_of(std::vector<StubAgent>{}).empty());
 }
 
 TEST(ColocationTest, SingletonsAreFiltered) {
   // Everyone alone on their node: nobody to meet.
   const auto agents = roster({4, 9, 1, 7});
-  EXPECT_TRUE(colocated_groups(agents).empty());
+  EXPECT_TRUE(groups_of(agents).empty());
 }
 
 TEST(ColocationTest, GroupsOrderedByVenueMembersByIndex) {
   // Node 2 hosts agents {1, 4}, node 7 hosts {0, 3, 5}; agent 2 is alone.
   const auto agents = roster({7, 2, 11, 7, 2, 7});
-  const auto groups = colocated_groups(agents);
+  const auto groups = groups_of(agents);
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0], (std::vector<std::size_t>{1, 4}));
   EXPECT_EQ(groups[1], (std::vector<std::size_t>{0, 3, 5}));
@@ -59,19 +70,23 @@ TEST(ColocationTest, GroupsAreDisjointAndCoverAllMeetings) {
     std::vector<std::size_t> occupancy(12, 0);
     for (const auto& agent : agents) ++occupancy[agent.where];
 
-    const auto groups = colocated_groups(agents);
+    const auto groups = groups_of(agents);
     std::vector<char> grouped(agents.size(), 0);
     NodeId previous_venue = 0;
     bool first_group = true;
     for (const auto& group : groups) {
       ASSERT_GE(group.size(), 2u);
       const NodeId venue = agents[group.front()].location();
-      if (!first_group) EXPECT_GT(venue, previous_venue);
+      if (!first_group) {
+        EXPECT_GT(venue, previous_venue);
+      }
       previous_venue = venue;
       first_group = false;
       for (std::size_t k = 0; k < group.size(); ++k) {
         EXPECT_EQ(agents[group[k]].location(), venue);
-        if (k > 0) EXPECT_GT(group[k], group[k - 1]);
+        if (k > 0) {
+          EXPECT_GT(group[k], group[k - 1]);
+        }
         EXPECT_FALSE(grouped[group[k]]) << "index in two groups";
         grouped[group[k]] = 1;
       }
@@ -87,8 +102,8 @@ TEST(ColocationTest, OrderIndependentOfRosterPermutation) {
   // order is identical and each group holds the permuted indices.
   const auto agents = roster({5, 3, 5, 3, 8, 8, 8});
   const auto swapped = roster({3, 5, 3, 5, 8, 8, 8});
-  const auto a = colocated_groups(agents);
-  const auto b = colocated_groups(swapped);
+  const auto a = groups_of(agents);
+  const auto b = groups_of(swapped);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t g = 0; g < a.size(); ++g)
     EXPECT_EQ(agents[a[g].front()].location(),
@@ -96,6 +111,22 @@ TEST(ColocationTest, OrderIndependentOfRosterPermutation) {
   EXPECT_EQ(b[0], (std::vector<std::size_t>{0, 2}));
   EXPECT_EQ(b[1], (std::vector<std::size_t>{1, 3}));
   EXPECT_EQ(b[2], (std::vector<std::size_t>{4, 5, 6}));
+}
+
+TEST(ColocationTest, ReusedBuffersRegroupFromScratch) {
+  // One MeetingGroups across rosters of different sizes: each call
+  // replaces the previous grouping entirely, and a roster with no
+  // meetings leaves no groups behind.
+  MeetingGroups flat;
+  colocated_groups(roster({7, 2, 11, 7, 2, 7}), flat);
+  ASSERT_EQ(flat.size(), 2u);
+  colocated_groups(roster({4, 4}), flat);
+  ASSERT_EQ(flat.size(), 1u);
+  EXPECT_EQ(std::vector<std::size_t>(flat[0].begin(), flat[0].end()),
+            (std::vector<std::size_t>{0, 1}));
+  colocated_groups(roster({1, 2, 3}), flat);
+  EXPECT_EQ(flat.size(), 0u);
+  EXPECT_TRUE(flat.members.empty());
 }
 
 }  // namespace

@@ -222,6 +222,26 @@ TEST(RoutingAgentTest, AdoptRespectsHistoryBound) {
   EXPECT_TRUE(agent.history().contains(3));
 }
 
+TEST(RoutingAgentTest, AdoptEvictsEqualStepsLowestIdFirst) {
+  // Six merged entries over a bound of three: the three evicted are the
+  // smallest (step, node) pairs — all at step 5, lowest node ids first.
+  auto agent = make_agent(RoutingPolicy::kOldestNode, 3, 1);
+  agent.arrive(kGateway0, 10);  // knows 1@10
+  FlatMap<NodeId, std::size_t> peer{{2, 5}, {3, 5}, {4, 5}, {5, 5}, {6, 7}};
+  agent.adopt(RoutingAgent::RouteHint{}, peer);
+  const FlatMap<NodeId, std::size_t> expected{{1, 10}, {5, 5}, {6, 7}};
+  EXPECT_EQ(agent.history(), expected);
+
+  // Same rule when the tie straddles the cut: two of four step-5 entries
+  // go, and they are the two lowest ids.
+  auto other = make_agent(RoutingPolicy::kOldestNode, 4, 1);
+  other.arrive(kGateway0, 9);  // knows 1@9
+  FlatMap<NodeId, std::size_t> tied{{8, 5}, {2, 5}, {7, 5}, {4, 5}, {3, 6}};
+  other.adopt(RoutingAgent::RouteHint{}, tied);
+  const FlatMap<NodeId, std::size_t> kept{{1, 9}, {3, 6}, {7, 5}, {8, 5}};
+  EXPECT_EQ(other.history(), kept);
+}
+
 TEST(RoutingAgentTest, StigmergicDecisionAvoidsFootprints) {
   const Graph g = line_graph();
   StigmergyBoard board(5);

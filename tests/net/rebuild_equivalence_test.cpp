@@ -27,6 +27,7 @@
 #include "net/link_noise.hpp"
 #include "net/metrics.hpp"
 #include "net/topology.hpp"
+#include "obs/obs.hpp"
 #include "routing/connectivity.hpp"
 #include "sim/world.hpp"
 
@@ -265,6 +266,41 @@ TEST(GoldenEquivalenceTest, RoutingWithCommunication) {
   EXPECT_EQ(r.mean_connectivity, 0.23138888888888887);
   EXPECT_EQ(r.stddev_connectivity, 0.018938811838341008);
   EXPECT_EQ(r.migration_bytes, 454920u);
+}
+
+// The paper's routing protocol as perfbench's paper-routing runs it
+// (oldest-node agents, direct communication, footprint-first stigmergy,
+// oracle recorded), on a mixed team whose history bounds differ, so a
+// meeting's pooled history is trimmed to several sizes at once.
+TEST(GoldenEquivalenceTest, RoutingPaperProtocol) {
+  constexpr std::size_t kHistory[] = {3, 10, 25};
+  RoutingTaskConfig config;
+  for (std::size_t a = 0; a < 30; ++a) {
+    RoutingAgentConfig member;
+    member.policy = RoutingPolicy::kOldestNode;
+    member.communicate = true;
+    member.stigmergy = StigmergyMode::kFilterFirst;
+    member.history_size = kHistory[a % 3];
+    config.team.push_back(member);
+  }
+  config.steps = 120;
+  config.measure_from = 60;
+  config.record_oracle = true;
+  obs::RunObs slot;
+  RoutingTaskResult r;
+  {
+    obs::ObsRunScope scope(slot);
+    r = run_routing_task(golden_scenario(), config, Rng(7));
+  }
+  double oracle_sum = 0.0;
+  for (double o : r.oracle) oracle_sum += o;
+  EXPECT_EQ(r.mean_connectivity, 0.2388888888888889);
+  EXPECT_EQ(r.stddev_connectivity, 0.019807612022563689);
+  EXPECT_EQ(oracle_sum, 28.433333333333369);
+  EXPECT_EQ(r.migration_bytes, 439420u);
+  EXPECT_EQ(slot.counters.value(obs::Counter::kAgentMeetings), 647u);
+  EXPECT_EQ(slot.counters.value(obs::Counter::kKnowledgeMerges), 1361u);
+  EXPECT_EQ(slot.counters.value(obs::Counter::kStigmergyAvoidances), 2000u);
 }
 
 TEST(GoldenEquivalenceTest, AntRouting) {

@@ -167,5 +167,53 @@ TEST(OracleTest, MultipleGateways) {
   EXPECT_EQ(r.connected, 4u);
 }
 
+// Naive oracle: one forward BFS per node, connected iff it reaches a
+// gateway along edge directions.
+std::size_t naive_oracle(const Graph& g, const std::vector<bool>& is_gateway) {
+  const std::size_t n = g.node_count();
+  std::size_t connected = 0;
+  for (NodeId s = 0; s < n; ++s) {
+    std::vector<bool> seen(n, false);
+    std::vector<NodeId> stack{s};
+    seen[s] = true;
+    bool reached = false;
+    while (!stack.empty() && !reached) {
+      const NodeId u = stack.back();
+      stack.pop_back();
+      if (is_gateway[u]) reached = true;
+      for (NodeId w : g.out_neighbors(u))
+        if (!seen[w]) {
+          seen[w] = true;
+          stack.push_back(w);
+        }
+    }
+    if (reached) ++connected;
+  }
+  return connected;
+}
+
+TEST(OracleTest, CacheMatchesNaiveOnAsymmetricGraphsOfVaryingSize) {
+  // One cache reused across directed graphs whose node count grows and
+  // shrinks: every miss must rebuild its transpose for the new graph.
+  Rng rng(77);
+  OracleConnectivityCache cache;
+  for (std::size_t n : {30u, 7u, 64u, 1u, 45u, 12u, 64u}) {
+    Graph g(n);
+    for (std::size_t e = 0; e < 2 * n; ++e) {
+      const auto u = static_cast<NodeId>(rng.index(n));
+      const auto v = static_cast<NodeId>(rng.index(n));
+      if (u != v) g.add_edge(u, v);  // one direction only
+    }
+    std::vector<bool> is_gateway(n, false);
+    is_gateway[rng.index(n)] = true;
+    if (n > 20) is_gateway[rng.index(n)] = true;
+    const ConnectivityResult cached =
+        cache.measure(kNoCacheEpoch, g, is_gateway);
+    EXPECT_EQ(cached.total, n);
+    EXPECT_EQ(cached.connected, naive_oracle(g, is_gateway)) << "n=" << n;
+    EXPECT_EQ(oracle_connectivity(g, is_gateway).connected, cached.connected);
+  }
+}
+
 }  // namespace
 }  // namespace agentnet

@@ -28,7 +28,10 @@
 # leg then snapshots a fault-injected routing run mid-flight, resumes it
 # in a fresh process at a different thread count, and byte-diffs stdout,
 # metrics and traces against the uninterrupted run (docs/ROBUSTNESS.md).
-# A fast data-race + schema check, not a bench sweep.
+# A last leg builds a build-asan/ tree (-DAGENTNET_SANITIZE=address,undefined)
+# and runs the routing hot-path suites and the snapshot corruption sweeps
+# with halt_on_error=1.
+# A fast data-race + memory-safety + schema check, not a bench sweep.
 set -eu
 
 if [ "${1:-}" = "--smoke" ]; then
@@ -211,6 +214,22 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "truncated snapshot was accepted" >&2; exit 1
   fi
   echo "checkpointed, resumed and uninterrupted runs are bit-identical"
+  echo "##### ASan + UBSan leg"
+  # The scratch-reusing hot paths (selection, meeting pools, co-location
+  # buffers, the route walk and the oracle) plus the snapshot loaders and
+  # their every-truncation / every-flipped-byte corruption sweeps, under
+  # AddressSanitizer and UndefinedBehaviorSanitizer in their own tree.
+  asan_tests="selection_test routing_agent_test colocation_test \
+    connectivity_test routing_task_test rebuild_equivalence_test \
+    snapshot_format_test"
+  cmake -B build-asan -S . -DAGENTNET_SANITIZE=address,undefined
+  # shellcheck disable=SC2086
+  cmake --build build-asan --target $asan_tests -j"$(nproc)"
+  for t in $asan_tests; do
+    echo "### $t (ASan + UBSan)"
+    ASAN_OPTIONS=halt_on_error=1 \
+      UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 build-asan/tests/"$t"
+  done
   echo "##### bench gates (report-only; docs/PERFORMANCE.md)"
   # Report-only: CI containers are 1-core and noisy, so the smoke leg
   # records the numbers without enforcing; run tools/bench_gate directly
@@ -222,7 +241,7 @@ if [ "${1:-}" = "--smoke" ]; then
   else
     echo "perf binaries not built (Release tree) — skipping bench gates" >&2
   fi
-  echo "TSan + trace + chaos + perf smoke passed" >&2
+  echo "TSan + ASan/UBSan + trace + chaos + perf smoke passed" >&2
   exit 0
 fi
 
